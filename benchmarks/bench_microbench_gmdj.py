@@ -10,7 +10,8 @@ figures rely on, at the operator level:
 * coalescing width: k blocks in one GMDJ vs k stacked GMDJs;
 * row interpreter vs columnar batch (vectorized) kernel vs the numpy
   whole-array backend, with the machine-readable baseline written to
-  ``BENCH_gmdj.json``;
+  ``BENCH_gmdj.json`` (including a six-block shared-key GMDJ and a base
+  whose every key appears twice, the hash-grouping regimes);
 * the 1M-row tier: numpy backend vs row interpreter at scale, plus
   CSV parsing vs memory-mapped binary (.cols) load times.
 """
@@ -169,6 +170,12 @@ def _vec_setup() -> Catalog:
             [(rng.randrange(VEC_BASE_ROWS), rng.randint(0, 1000))
              for _ in range(VEC_DETAIL_ROWS)],
         ))
+        # Every key twice: base tuples that share one detail segment.
+        catalog.create_table("B2", Relation.from_columns(
+            [("K", DataType.INTEGER), ("X", DataType.INTEGER)],
+            [(i % VEC_BASE_ROWS, rng.randint(0, 1000))
+             for i in range(2 * VEC_BASE_ROWS)],
+        ))
         _vec_catalog = catalog
     return _vec_catalog
 
@@ -198,6 +205,21 @@ def vec_plans():
             [[count_star("c1")], [agg("sum", col("r.V"), "s2")]],
             [col("b.K") == col("r.K"),
              (col("b.K") == col("r.K")) & (col("r.V") > lit(250))],
+        ),
+        # The batch-MQO shape: six θ-blocks on one correlation key, so
+        # the numpy kernel groups the detail rows once for all six.
+        "shared_key_6blk": md(
+            ScanTable("B", "b"), ScanTable("R", "r"),
+            [[count_star("c0")], [agg("sum", col("r.V"), "s1")],
+             [agg("avg", col("r.V"), "a2")], [count_star("c3")],
+             [agg("min", col("r.V"), "m4")], [agg("max", col("r.V"), "m5")]],
+            [(col("b.K") == col("r.K")) & (col("r.V") > lit(100 * i))
+             for i in range(6)],
+        ),
+        "dup_base_keys": md(
+            ScanTable("B2", "b"), ScanTable("R", "r"),
+            [[count_star("c"), agg("sum", col("r.V"), "s")]],
+            [(col("b.K") == col("r.K")) & (col("r.V") > lit(100))],
         ),
     }
 

@@ -8,10 +8,15 @@ completion-free scans:
 * θ residuals and invariant filters evaluate as whole-array 3VL masks
   (:mod:`repro.algebra.npcompile`) over zero-copy column views
   (:mod:`repro.storage.npcolumns`);
-* hash probing factorizes the key columns with ``np.unique`` — the
-  Python-level bucket dictionary is probed once per *distinct* key, not
-  once per row — and detail rows group into per-base-tuple index
-  segments with one stable argsort;
+* hash probing factorizes the detail key once per scan for each
+  (base keys, detail keys) pair, and every θ block with that pair
+  reuses the grouping (coalesced and batch-MQO blocks usually share one
+  correlation key).  Integer, boolean and dictionary-string keys code
+  by offset without a sort; rows group by code with a stable counting
+  sort (radix ``argsort`` over the narrowest unsigned dtype plus
+  ``bincount`` offsets); the Python-level bucket dictionary is probed
+  once per *distinct* key, not once per row; and base tuples sharing a
+  key share one index segment;
 * distributive/algebraic aggregates accumulate with whole-array
   reductions per segment (``np.cumsum`` for float sums keeps Python's
   sequential addition order bit-for-bit).
@@ -149,23 +154,79 @@ class _PairContext:
         return resolve
 
 
-def _python_key_value(key: NpValue, row: int, np: Any) -> Any:
-    """One key component at ``row`` as the Python value the buckets use."""
+def _python_key_values(key: NpValue, rows: Any, np: Any) -> list:
+    """One key component at each of ``rows`` as the Python values the
+    buckets use (``tolist`` yields Python ints, floats and bools)."""
     values = key.values
     if not isinstance(values, np.ndarray):
-        return values  # literal key component, already a Python scalar
+        return [values] * len(rows)  # literal: already a Python scalar
+    picked = values[rows].tolist()
     if key.kind == "str":
-        return (key.dictionary or [])[int(values[row])]
+        dictionary = key.dictionary or []
+        return [dictionary[code] for code in picked]
+    return picked
+
+
+#: A key column whose integer span is at most this many codes (or twice
+#: its row count, if larger) is coded by offsetting from its minimum —
+#: no sort; wider spans factorize with ``np.unique``.
+_SPAN_FLOOR = 1 << 16
+
+
+def _column_codes(values: Any, np: Any) -> tuple[Any, int]:
+    """``(codes, capacity)`` for one key column: ``0 <= codes <
+    capacity`` and rows with equal values (in Python ``==``) share a
+    code.  Dictionary strings arrive as their integer codes."""
     kind = values.dtype.kind
     if kind == "b":
-        return bool(values[row])
-    if kind == "f":
-        return float(values[row])
-    return int(values[row])
+        return values.astype(np.int64), 2
+    if kind in "iu":
+        low = int(values.min())
+        span = int(values.max()) - low + 1
+        if span <= max(_SPAN_FLOOR, 2 * len(values)):
+            return (values - low).astype(np.int64, copy=False), span
+    # Floats (where -0.0 == 0.0 must share a code) and sparse integers.
+    uniques, inverse = np.unique(values, return_inverse=True)
+    return inverse, len(uniques)
+
+
+def _dense(codes: Any, np: Any) -> tuple[Any, int]:
+    """Renumber codes onto ``0..distinct-1`` (one sort; only needed when
+    combined key codes span too widely to count directly)."""
+    uniques, inverse = np.unique(codes, return_inverse=True)
+    return inverse, len(uniques)
+
+
+def _key_codes(key_vals: Sequence[NpValue], valid_idx: Any,
+               count: int, np: Any) -> tuple[Any, int]:
+    """Combine per-column codes of the ``count`` rows ``valid_idx``
+    (None = every row) into one code per distinct key tuple."""
+    combined = None
+    capacity = 1
+    for kv in key_vals:
+        values = kv.values
+        if not isinstance(values, np.ndarray):
+            continue  # constant component: one group, nothing to split
+        if valid_idx is not None:
+            values = values[valid_idx]
+        codes, size = _column_codes(values, np)
+        if combined is None:
+            combined, capacity = codes, size
+            continue
+        if capacity * size >= _INT_SAFE:
+            # Re-densify the running codes before they overflow int64.
+            combined, capacity = _dense(combined, np)
+        combined = combined * size + codes
+        capacity *= size
+    if combined is None:  # all-constant key: every valid row, one group
+        return np.zeros(count, dtype=np.int64), 1
+    if capacity > max(_SPAN_FLOOR, 2 * count):
+        combined, capacity = _dense(combined, np)
+    return combined, capacity
 
 
 def _hash_segments(
-    runtime: _BlockRuntime,
+    buckets: dict[tuple, list[int]],
     key_exprs: Sequence[Any],
     ctx: _DetailContext,
     total: int,
@@ -173,11 +234,18 @@ def _hash_segments(
 ) -> list[tuple[int, Any]]:
     """Group detail rows by matched base tuple via key factorization.
 
-    Returns ``(base_index, ascending row-index array)`` segments; rows
-    whose key contains NULL (or misses every bucket) appear in none.
-    The bucket dictionary is probed once per *distinct* key — the
-    ``np.unique`` trick that replaces a million Python probes with a
-    handful.
+    Returns ``(base_index, ascending row-index array)`` segments in
+    ascending base order; rows whose key contains NULL (or misses every
+    bucket) appear in none.  The detail key is coded once, without a
+    sort for integer, boolean and dictionary-string keys of bounded
+    span; rows then group by code with one stable counting sort (a
+    radix ``argsort`` over the narrowest unsigned dtype, plus
+    ``bincount`` offsets).  The bucket dictionary is probed once per
+    *distinct* key, and base tuples sharing a key share that key's
+    segment array.
+
+    Every hash block with the same (base keys, detail keys) pair has
+    the same result, so :func:`run_numpy_scan` calls this once per pair.
     """
     key_vals = [np_value(expr, ctx.resolve) for expr in key_exprs]
     valid: Any = True
@@ -186,65 +254,36 @@ def _hash_segments(
             return []  # a NULL key component can never match
         if kv.null is not False:
             valid = ~kv.null if valid is True else valid & ~kv.null
-    if valid is True:
-        valid_idx = np.arange(total, dtype=np.int64)
-    else:
-        valid_idx = np.flatnonzero(valid)
-    if not len(valid_idx):
+    valid_idx = None if valid is True else np.flatnonzero(valid)
+    count = total if valid_idx is None else len(valid_idx)
+    if not count:
         return []
-    combined = None
-    capacity = 1
-    for kv in key_vals:
-        values = kv.values
-        if not isinstance(values, np.ndarray):
-            continue  # constant component: one group, nothing to split
-        uniques, inverse = np.unique(values[valid_idx],
-                                     return_inverse=True)
-        if combined is None:
-            combined, capacity = inverse, len(uniques)
-            continue
-        if capacity * len(uniques) >= _INT_SAFE:
-            # Re-densify the running codes before they overflow int64.
-            _, combined = np.unique(combined, return_inverse=True)
-            capacity = int(combined.max()) + 1
-        combined = combined * len(uniques) + inverse
-        capacity *= len(uniques)
-    if combined is None:  # all-constant key: every valid row, one group
-        combined = np.zeros(len(valid_idx), dtype=np.int64)
-    uniq_codes, first_pos, inverse = np.unique(
-        combined, return_index=True, return_inverse=True)
-    rep_rows = valid_idx[first_pos]
-    base_of_code = np.full(len(uniq_codes), -1, dtype=np.int64)
-    multi: list[tuple[int, list[int]]] = []
-    buckets_get = runtime.buckets.get
-    for code in range(len(uniq_codes)):
-        key = tuple(_python_key_value(kv, int(rep_rows[code]), np)
-                    for kv in key_vals)
+    codes, capacity = _key_codes(key_vals, valid_idx, count, np)
+    narrow = np.min_scalar_type(capacity - 1)  # radix sort for <= 16 bits
+    order = np.argsort(codes.astype(narrow, copy=False), kind="stable")
+    rows = order if valid_idx is None else valid_idx[order]
+    counts = np.bincount(codes, minlength=capacity)
+    present = np.flatnonzero(counts)
+    # Empty codes take no room, so present codes' groups are contiguous.
+    bounds = np.concatenate(([0], np.cumsum(counts)[present]))
+    starts = bounds[:-1]
+    # Each key's first row stands for it in the one bucket probe.
+    keys = zip(*(_python_key_values(kv, rows[starts], np)
+                 for kv in key_vals))
+    segments: dict[int, Any] = {}
+    buckets_get = buckets.get
+    for key, start, stop in zip(keys, starts.tolist(),
+                                bounds[1:].tolist()):
         candidates = buckets_get(key)
         if not candidates:
             continue
-        base_of_code[code] = candidates[0]
-        if len(candidates) > 1:
-            multi.append((code, candidates[1:]))
-    row_base = base_of_code[inverse]
-    matched = np.flatnonzero(row_base >= 0)
-    rows_sel = valid_idx[matched]
-    bases_sel = row_base[matched]
-    order = np.argsort(bases_sel, kind="stable")
-    sorted_rows = rows_sel[order]
-    sorted_bases = bases_sel[order]
-    seg_bases, seg_starts = np.unique(sorted_bases, return_index=True)
-    bounds = list(seg_starts) + [len(sorted_rows)]
-    segments: dict[int, Any] = {
-        int(seg_bases[i]): sorted_rows[bounds[i]:bounds[i + 1]]
-        for i in range(len(seg_bases))
-    }
-    for code, extras in multi:
-        rows_of_code = valid_idx[np.flatnonzero(inverse == code)]
-        for base_index in extras:
+        rows_of_key = rows[start:stop]
+        for base_index in candidates:
             existing = segments.get(base_index)
-            segments[base_index] = rows_of_code if existing is None \
-                else np.sort(np.concatenate([existing, rows_of_code]))
+            # One base tuple meets two codes only when a dictionary lists
+            # a string twice (possible in a hand-written .cols manifest).
+            segments[base_index] = rows_of_key if existing is None \
+                else np.sort(np.concatenate([existing, rows_of_key]))
     return sorted(segments.items())
 
 
@@ -352,23 +391,26 @@ def _plan_values(plan: _NpBlock, ctx: _DetailContext,
 def _plan_block(plan: _NpBlock, ctx: _DetailContext,
                 pair_ctx: _PairContext, base_schema: Schema,
                 base_rows: Sequence[tuple], n_base: int, total: int,
-                detail_schema: Schema, np: Any) -> bool:
+                detail_schema: Schema,
+                groupings: dict[tuple, list[tuple[int, Any]]],
+                np: Any) -> bool:
     """Compute this block's survivor segments and counter tallies.
 
     Returns True when the block is invariant (segments target the
-    shared accumulator state).  May raise :class:`NpUnsupported` at any
-    point — the caller only flushes counters/accumulators for fully
-    planned blocks, so a partial plan has no observable effect.
+    shared accumulator state).  ``groupings`` holds the hash segments
+    already built in this scan, keyed by (base keys, detail keys).
+    May raise :class:`NpUnsupported` at any point — the caller only
+    flushes counters/accumulators for fully planned blocks, so a partial
+    plan has no observable effect.
     """
     runtime = plan.runtime
     factored = factor_condition(plan.block.condition, base_schema,
                                 detail_schema)
     residual = factored.residual
-    all_rows = np.arange(total, dtype=np.int64)
 
     if runtime.invariant:
         if residual is None:
-            survivors = all_rows
+            survivors = np.arange(total, dtype=np.int64)
         else:
             plan.filter_evals += total
             survivors = np.flatnonzero(
@@ -378,8 +420,12 @@ def _plan_block(plan: _NpBlock, ctx: _DetailContext,
 
     if runtime.uses_hash:
         plan.probe_rows = total
-        segments = _hash_segments(runtime, factored.right_keys, ctx,
-                                  total, np)
+        pair = (tuple(map(repr, factored.left_keys)),
+                tuple(map(repr, factored.right_keys)))
+        segments = groupings.get(pair)
+        if segments is None:
+            segments = groupings[pair] = _hash_segments(
+                runtime.buckets, factored.right_keys, ctx, total, np)
         if residual is None:
             plan.segments = segments
             return False
@@ -402,6 +448,7 @@ def _plan_block(plan: _NpBlock, ctx: _DetailContext,
     # Scan block: every base row is a candidate for every detail row
     # (completion-free, so the active list never shrinks).
     if residual is None:
+        all_rows = np.arange(total, dtype=np.int64)
         plan.segments = [(b, all_rows) for b in range(n_base)]
         return False
     plan.filter_evals += n_base * total
@@ -496,28 +543,26 @@ def run_numpy_scan(
 
     python_blocks: list[tuple[_BlockRuntime, ThetaBlock]] = []
     reasons: list[str] = []
-    applied: list[tuple[_NpBlock, bool]] = []
+    groupings: dict[tuple, list[tuple[int, Any]]] = {}
 
     for runtime, block in zip(runtimes, blocks):
         plan = _NpBlock(runtime, block)
         try:
             shared = _plan_block(plan, ctx, pair_ctx, base.schema,
                                  base_rows, n_base, total, detail_schema,
-                                 np)
+                                 groupings, np)
             _plan_values(plan, ctx, detail_schema)
         except NpUnsupported as exc:
             python_blocks.append((runtime, block))
             reasons.append(f"block {runtime.index}: {exc.reason}")
             continue
-        applied.append((plan, shared))
         for spec, reason in zip(block.aggregates, plan.value_fallbacks):
             if reason is not None:
                 reasons.append(
                     f"block {runtime.index} {spec.output_name}: {reason}")
-
-    # Counters and accumulators are only touched for fully planned
-    # blocks, so an NpUnsupported above never leaves partial state.
-    for plan, shared in applied:
+        # Counters and accumulators are only touched once a block is
+        # fully planned, so an NpUnsupported above never leaves partial
+        # state; applying now keeps one block's survivors alive at a time.
         stats.index_probes += plan.probe_rows
         stats.predicate_evals += plan.filter_evals
         _apply_segments(plan, state, shared, stats, decoded_cols, np)

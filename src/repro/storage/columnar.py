@@ -301,8 +301,14 @@ class ColumnarRelation:
         return sum(1 for column in self.columns if column.mask_free)
 
     def to_relation(self) -> Relation:
-        """Transpose back; reproduces the source rows exactly, in order."""
-        decoded = [self.values(i) for i in range(len(self.columns))]
+        """Transpose back; reproduces the source rows exactly, in order.
+
+        Columns decode transiently, not into the :meth:`values` cache:
+        the rows hold the values, and the numpy kernel never reads the
+        decoded lists (the python batch kernel decodes lazily through
+        :meth:`values`).
+        """
+        decoded = [column.decode() for column in self.columns]
         if decoded:
             rows = list(zip(*decoded)) if self.length else []
         else:

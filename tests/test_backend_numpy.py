@@ -11,7 +11,9 @@ Covers the knobs and edges the property suite cannot pin one by one:
   ``detail_scan`` span and each still producing the python kernel's
   exact rows and counters;
 * the relation-level columnar-encoding cache (hit/miss counters, reuse
-  across chunked fragments, invalidation on mutation).
+  across chunked fragments, invalidation on mutation);
+* the hash-block row grouping: built once per key pair per scan, and
+  duplicate base keys sharing one segment.
 """
 
 from __future__ import annotations
@@ -291,3 +293,130 @@ class TestColumnarEncodingCache:
         assert hits == fragments - 1
         plain = gmdj.evaluate(catalog)
         assert plain.bag_equal(chunked)
+
+
+class TestSharedKeyGrouping:
+    """The hash-block row grouping is built once per key pair per scan."""
+
+    @staticmethod
+    def _batch_database():
+        rng = random.Random(5)
+        database = Database()
+        database.create_table(
+            "customer", [("custkey", DataType.INTEGER),
+                         ("acctbal", DataType.INTEGER)],
+            [(key, rng.randrange(1000)) for key in range(40)])
+        database.create_table(
+            "orders", [("custkey", DataType.INTEGER),
+                       ("totalprice", DataType.INTEGER),
+                       ("orderdate", DataType.INTEGER)],
+            [(rng.randrange(45), rng.randrange(1000), rng.randrange(100))
+             for _ in range(600)])
+        head = "SELECT c.custkey FROM customer c WHERE "
+        corr = "FROM orders o WHERE o.custkey = c.custkey AND "
+        texts = [
+            head + f"EXISTS (SELECT * {corr}o.totalprice > 900)",
+            head + f"NOT EXISTS (SELECT * {corr}o.orderdate > 95)",
+            head + (f"c.acctbal > (SELECT AVG(o.totalprice) "
+                    f"{corr}o.orderdate >= 30)"),
+            head + f"5 < (SELECT COUNT(*) {corr}o.orderdate >= 40)",
+            head + (f"c.acctbal * 3 < (SELECT SUM(o.totalprice) "
+                    f"{corr}o.totalprice < 700)"),
+            head + (f"c.acctbal > (SELECT MAX(o.totalprice) "
+                    f"{corr}o.orderdate < 60)"),
+        ]
+        return database, texts
+
+    def test_six_block_group_factorizes_detail_key_once(self, monkeypatch):
+        from repro.gmdj import npkernel
+
+        database, texts = self._batch_database()
+        expected = database.execute_sql_batch(
+            texts, QueryOptions(backend="python", mqo="off"))
+        calls = []
+        real = npkernel._hash_segments
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(npkernel, "_hash_segments", spy)
+        with collect() as stats:
+            batch = database.execute_sql_batch(
+                texts, QueryOptions(backend="numpy", mqo="coalesce"))
+        assert batch.report.scans_saved == 5
+        assert len(calls) == 1, calls
+        # Every hash block still counts one probe per detail row.
+        assert stats.index_probes == 6 * 600
+        assert [r.rows for r in batch] == [r.rows for r in expected]
+
+    @staticmethod
+    def _reference_segments(buckets, detail_keys):
+        """Brute force: each base tuple's matching rows, ascending."""
+        key_of = {b: key for key, indices in buckets.items()
+                  for b in indices}
+        segments = []
+        for base_index in sorted(key_of):
+            rows = [row for row, key in enumerate(detail_keys)
+                    if None not in key and key == key_of[base_index]]
+            if rows:
+                segments.append((base_index, rows))
+        return segments
+
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    @pytest.mark.parametrize("shape", ["int", "two_column", "constant"])
+    def test_duplicate_base_keys_share_segments(self, copies, shape):
+        import numpy as np
+
+        from repro.gmdj.npkernel import _DetailContext, _hash_segments
+        from repro.storage.columnar import ColumnarRelation
+
+        rng = random.Random(copies)
+        detail = Relation.from_columns(
+            [("K", DataType.INTEGER), ("S", DataType.STRING)],
+            [(None if rng.random() < 0.2 else rng.randrange(7),
+              rng.choice(["x", "y", None]))
+             for _ in range(300)],
+            name="R", qualifier="r")
+        ctx = _DetailContext(ColumnarRelation.from_relation(detail),
+                             detail.schema)
+        key_exprs, key_of_row, keys = {
+            "int": ([col("r.K")], lambda row: (row[0],),
+                    [(k,) for k in range(6)]),
+            "two_column": ([col("r.K"), col("r.S")], lambda row: row,
+                           [(k, s) for k in range(6) for s in "xy"]),
+            "constant": ([col("r.K"), lit(1)], lambda row: (row[0], 1),
+                         [(k, 1) for k in range(6)]),
+        }[shape]
+        # ``copies`` base tuples per key, interleaved in base order.
+        buckets: dict[tuple, list[int]] = {}
+        for position in range(len(keys) * copies):
+            buckets.setdefault(keys[position % len(keys)],
+                               []).append(position)
+        got = _hash_segments(buckets, key_exprs, ctx, len(detail), np)
+        expected = self._reference_segments(
+            buckets, [key_of_row(row) for row in detail.rows])
+        assert [(b, idx.tolist()) for b, idx in got] == expected
+
+    def test_repeated_dictionary_string_merges_segments(self):
+        # A .cols manifest may list one string twice; both codes must
+        # land in the one base tuple's segment, in row order.
+        from array import array
+
+        import numpy as np
+
+        from repro.gmdj.npkernel import _DetailContext, _hash_segments
+        from repro.storage.columnar import ColumnarRelation, ColumnData
+
+        codes = [0, 1, 2, 2, 0, 1]
+        detail = ColumnarRelation(
+            Relation.from_columns([("S", DataType.STRING)], [],
+                                  qualifier="r").schema,
+            [ColumnData("dict", array("i", codes), None, ["x", "y", "x"])],
+            len(codes))
+        ctx = _DetailContext(detail, detail.schema)
+        got = _hash_segments({("x",): [0], ("y",): [1]}, [col("r.S")], ctx,
+                             len(codes), np)
+        assert [(b, idx.tolist()) for b, idx in got] == \
+            [(0, [0, 2, 3, 4]), (1, [1, 5])]
+

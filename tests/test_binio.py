@@ -117,6 +117,37 @@ class TestLoadedEncodingCache:
             assert registry.counter("columnar.cache_misses").value == 0
         assert columnar.to_relation().rows == back.rows
 
+    def test_load_does_not_pin_decoded_columns(self, tmp_path):
+        from repro.algebra.aggregates import agg, count_star
+        from repro.algebra.expressions import col, lit
+        from repro.algebra.operators import ScanTable
+        from repro.gmdj import md
+        from repro.gmdj.modes import evaluate_plan_vectorized
+        from repro.storage import collect
+
+        back = load_binary(save_binary(sample_relation(), tmp_path / "t"))
+        columnar = back._columnar[frozenset()]
+        # The rows hold the values; the encoding keeps no decoded copy.
+        assert columnar._decoded == [None] * len(columnar.columns)
+        catalog = Catalog()
+        catalog.create_table("B", Relation.from_columns(
+            [("K", DataType.INTEGER)], [(k,) for k in range(-3, 4)],
+            name="B", qualifier="b"))
+        catalog.create_table("T", back)
+        gmdj = md(ScanTable("B", "b"), ScanTable("T", "t"),
+                  [[count_star("c"), agg("max", col("t.S"), "m")],
+                   [agg("sum", col("t.F"), "s")]],
+                  [col("b.K") == col("t.K"),
+                   (col("b.K") == col("t.K")) & (col("t.B") == lit(True))])
+        with collect() as row_stats:
+            expected = gmdj.evaluate(catalog)
+        for backend in (["python", "numpy"] if HAVE_NUMPY else ["python"]):
+            with collect() as stats:
+                result = evaluate_plan_vectorized(
+                    gmdj, catalog, None, backend=backend)
+            assert result.rows == expected.rows, backend
+            assert stats.snapshot() == row_stats.snapshot(), backend
+
     def test_vectorized_query_over_loaded_table(self, tmp_path):
         from repro.algebra.expressions import col, lit
         from repro.algebra.nested import Exists, NestedSelect, Subquery

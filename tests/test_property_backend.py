@@ -13,6 +13,12 @@ This is deliberately stronger than the vectorized-vs-row-kernel
 property (`test_property_vectorized`): the backend switch is a pure
 array-kernel substitution inside one scan algorithm, so even the
 per-operator counters must agree.
+
+A second property draws multi-block hash GMDJs directly — blocks that
+share a key or do not, duplicate base keys, NULL and constant key
+components, two-column keys, bool/float/string keys — and holds the
+row kernel, the python batch kernel and the numpy backend to the same
+rows, order and counters.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from repro.algebra.nested import (
     not_in_predicate,
 )
 from repro.algebra.operators import ScanTable
+from repro.gmdj import md
 from repro.gmdj.evaluate import invariant_sharing
 from repro.gmdj.modes import evaluate_plan_vectorized
 from repro.lint.absint import capability_scope, certify_capabilities
@@ -233,3 +240,109 @@ class TestBackendIdentity:
                     plan, catalog, None, backend=backend)
             report = check_capabilities(result.rows, certificate)
             assert not report.violations, (backend, report.violations)
+
+
+# -- hash-block row grouping: multi-block GMDJs over many key shapes -------
+
+key_int = st.one_of(st.none(), st.integers(min_value=0, max_value=3))
+key_str = st.one_of(st.none(), st.sampled_from(["aa", "bb"]))
+key_bool = st.one_of(st.none(), st.booleans())
+# NaN is drawn as a fresh object per row: Python's dict probe matches a
+# NaN only against the very same object, which no kernel can preserve
+# through a columnar encoding.
+key_float = st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1.5]),
+                      st.builds(lambda: float("nan")))
+
+
+@st.composite
+def key_databases(draw):
+    """Small key domains so base keys repeat and most detail rows hit."""
+    catalog = Catalog()
+    b_rows = draw(st.lists(
+        st.tuples(key_int, key_str, key_float, key_bool, key_int),
+        min_size=0, max_size=8))
+    r_rows = draw(st.lists(
+        st.tuples(key_int, key_str, key_float, key_bool, small_int),
+        min_size=0, max_size=14))
+    catalog.create_table("B", Relation.from_columns(
+        [("K", DataType.INTEGER), ("S", DataType.STRING),
+         ("F", DataType.FLOAT), ("Z", DataType.BOOLEAN),
+         ("X", DataType.INTEGER)], b_rows,
+    ))
+    catalog.create_table("R", Relation.from_columns(
+        [("K", DataType.INTEGER), ("T", DataType.STRING),
+         ("G", DataType.FLOAT), ("Z", DataType.BOOLEAN),
+         ("Y", DataType.INTEGER)], r_rows,
+    ))
+    return catalog
+
+
+#: Equi-key conjunctions by name; a literal right-hand side is a
+#: constant detail key component (``None`` makes the whole key NULL).
+KEY_SHAPES = {
+    "int": lambda c: col("b.K") == col("r.K"),
+    # Same detail key as "int" against another base key: blocks must
+    # not share a grouping whose buckets differ.
+    "other_base_key": lambda c: col("b.X") == col("r.K"),
+    "string": lambda c: col("b.S") == col("r.T"),
+    "float": lambda c: col("b.F") == col("r.G"),
+    "bool": lambda c: col("b.Z") == col("r.Z"),
+    "int_float": lambda c: col("b.K") == col("r.G"),
+    "two_column": lambda c: ((col("b.K") == col("r.K"))
+                             & (col("b.S") == col("r.T"))),
+    "with_constant": lambda c: ((col("b.K") == col("r.K"))
+                                & (col("b.X") == lit(c))),
+    "only_constant": lambda c: col("b.X") == lit(c),
+}
+
+
+@st.composite
+def keyed_gmdjs(draw):
+    """A GMDJ of 1–4 hash blocks that share key shapes or do not."""
+    shapes = st.sampled_from(sorted(KEY_SHAPES))
+    width = draw(st.integers(min_value=1, max_value=4))
+    if draw(st.booleans()):
+        names = [draw(shapes)] * width  # one shared key for every block
+    else:
+        names = [draw(shapes) for _ in range(width)]
+    constant = draw(st.one_of(st.none(), st.integers(0, 3)))
+    aggregate_lists, conditions = [], []
+    for position, name in enumerate(names):
+        condition = KEY_SHAPES[name](constant)
+        residual = draw(st.sampled_from(["none", "detail", "pair"]))
+        if residual == "detail":
+            condition = condition & (col("r.Y") > lit(draw(
+                st.integers(0, 6))))
+        elif residual == "pair":
+            condition = condition & (col("r.Y") < col("b.X"))
+        conditions.append(condition)
+        aggregate_lists.append([
+            agg("count", None, f"c{position}"),
+            agg("sum", col("r.Y"), f"s{position}"),
+            agg(draw(st.sampled_from(["min", "max", "avg"])),
+                col("r.G"), f"g{position}"),
+        ])
+    return md(ScanTable("B", "b"), ScanTable("R", "r"),
+              aggregate_lists, conditions)
+
+
+def _nan_comparable(rows):
+    """Rows with NaN replaced by a marker (``nan != nan`` in tuples
+    whose NaNs are different objects)."""
+    return [tuple("<NaN>" if isinstance(value, float) and value != value
+                  else value for value in row) for row in rows]
+
+
+class TestHashGroupingIdentity:
+    @SETTINGS
+    @given(catalog=key_databases(), gmdj=keyed_gmdjs())
+    def test_row_python_numpy_identical(self, catalog, gmdj):
+        with collect() as row_stats:
+            row_result = gmdj.evaluate(catalog)
+        python_result, python_stats, numpy_result, numpy_stats = _run_both(
+            gmdj, catalog)
+        assert (_nan_comparable(row_result.rows)
+                == _nan_comparable(python_result.rows)
+                == _nan_comparable(numpy_result.rows))
+        assert (row_stats.snapshot() == python_stats.snapshot()
+                == numpy_stats.snapshot())
