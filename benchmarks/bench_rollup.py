@@ -17,10 +17,19 @@ vectorized evaluation, the serving tier actually engaged (store
 counters), and the zero-detail-scan certificate — a traced warm run
 must contain a ``rollup_hit`` span and not a single ``detail_scan``
 span, with the rollup invariants passing strictly.
+
+A second table, ``detail_sweep``, times warm exact hits end to end on
+the SQL path (``profile_sql``: parse and bind, cached translation,
+certification, rollup probe, the outer ``Select`` and ``Project``) at
+|R| = 20k, 200k and 1M with |B| = 300.  A hit reads only the ~|B|
+stored rollup rows, so its time must not grow with |R|: certification
+reads each table's maintained null counts instead of counting NULLs
+over the detail rows.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from conftest import write_json, write_report
@@ -81,6 +90,52 @@ def _probes():
             ScanTable("R", "r"), AGGS, [THETA],
         ),
     }
+
+
+SWEEP_BASE_ROWS = 300
+SWEEP_DETAIL_ROWS = (20_000, 200_000, 1_000_000)
+SWEEP_REPEATS = 25
+SWEEP_SQL = ("SELECT b.K FROM B b WHERE b.X > 50 AND EXISTS "
+             "(SELECT * FROM R r WHERE r.K = b.K AND r.V > 500)")
+#: Cold priming on the whole-array kernel when numpy is present (the
+#: store keys on the plan, not the kernel), so the 1M point stays quick.
+SWEEP = QueryOptions(strategy="gmdj", rollup="exact", backend="auto")
+
+
+def _sweep_db(detail_rows: int) -> Database:
+    db = Database()
+    db.create_table(
+        "B", [("K", DataType.INTEGER), ("X", DataType.INTEGER)],
+        [(i, i * 37 % 100) for i in range(SWEEP_BASE_ROWS)],
+    )
+    db.create_table(
+        "R", [("K", DataType.INTEGER), ("V", DataType.INTEGER)],
+        [(i * 7919 % SWEEP_BASE_ROWS, i * 104729 % 1000)
+         for i in range(detail_rows)],
+    )
+    return db
+
+
+def _detail_sweep() -> dict:
+    """Median warm exact-hit wall time per detail size."""
+    points = {}
+    for detail_rows in SWEEP_DETAIL_ROWS:
+        db = _sweep_db(detail_rows)
+        cold_wall, cold = _timed(lambda: db.profile_sql(SWEEP_SQL, SWEEP))
+        hits_before = db.rollups.stats()["exact_hits"]
+        walls = []
+        for _ in range(SWEEP_REPEATS):
+            wall, warm = _timed(lambda: db.profile_sql(SWEEP_SQL, SWEEP))
+            assert warm.result.rows == cold.result.rows
+            walls.append(wall)
+        assert (db.rollups.stats()["exact_hits"]
+                == hits_before + SWEEP_REPEATS), "warm run missed the store"
+        points[str(detail_rows)] = {
+            "cold_ms": round(cold_wall * 1000, 3),
+            "warm_hit_ms": round(statistics.median(walls) * 1000, 3),
+        }
+        del db
+    return points
 
 
 def _timed(thunk):
@@ -149,6 +204,17 @@ def test_rollup_report(benchmark):
                 f"{name:<16} {tier:<8} {cold_wall:>9.4f} {warm_wall:>9.4f} "
                 f"{cold_wall / warm_wall:>7.1f}x {certificate:>5}"
             )
+        payload["detail_sweep"] = sweep = _detail_sweep()
+        lines += [
+            "",
+            "== warm exact rollup hit vs detail size (SQL path) ==",
+            f"|B|={SWEEP_BASE_ROWS}  median of {SWEEP_REPEATS} warm hits",
+            f"{'|R|':>9} {'cold ms':>9} {'hit ms':>8}",
+        ]
+        lines += [
+            f"{rows:>9} {point['cold_ms']:>9.1f} {point['warm_hit_ms']:>8.2f}"
+            for rows, point in sweep.items()
+        ]
         return payload, "\n".join(lines)
 
     payload, text = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -157,6 +223,14 @@ def test_rollup_report(benchmark):
     write_json("BENCH_rollup", payload)
     for name, workload in payload["workloads"].items():
         assert workload["zero_detail_scan_certificate"] == "pass", name
+    sweep = payload["detail_sweep"]
+    smallest = sweep[str(SWEEP_DETAIL_ROWS[0])]["warm_hit_ms"]
+    largest = sweep[str(SWEEP_DETAIL_ROWS[-1])]["warm_hit_ms"]
+    assert largest <= 3 * smallest + 1.0, (
+        f"warm rollup hit grows with |R|: {smallest} ms at "
+        f"{SWEEP_DETAIL_ROWS[0]} rows, {largest} ms at "
+        f"{SWEEP_DETAIL_ROWS[-1]} rows"
+    )
     headline = payload["workloads"][HEADLINE]
     assert headline["tier"] == "subsume"
     assert headline["speedup"] >= 5.0, (

@@ -53,6 +53,7 @@ from repro.algebra.expressions import (
     Or,
     TruthLiteral,
     _compare,
+    memoized_evaluator,
 )
 from repro.algebra.truth import Truth
 from repro.storage.schema import Schema
@@ -305,7 +306,16 @@ def _prologue(emitter: _Emitter) -> list[str]:
 
 
 def compile_row(expression: Expression, schema: Schema) -> RowFunction:
-    """Compile to ``row -> value``; drop-in for ``expression.bind(schema)``."""
+    """Compile to ``row -> value``; drop-in for ``expression.bind(schema)``.
+
+    Memoized per (expression, schema) object pair in the bind cache
+    (:func:`~repro.algebra.expressions.memoized_evaluator`), so a plan
+    re-run against the same schema object compiles its predicate once.
+    """
+    return memoized_evaluator(expression, schema, _compile_row)
+
+
+def _compile_row(expression: Expression, schema: Schema) -> RowFunction:
     emitter = _Emitter(_row_resolver(schema), _column_stringness(schema))
     try:
         atom = emitter.emit(expression, 1)

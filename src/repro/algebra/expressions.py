@@ -35,16 +35,21 @@ from repro.storage.schema import Schema
 
 Evaluator = Callable[[tuple], Any]
 
-#: Bound-evaluator memoization, keyed per (expression, schema) *object*
-#: pair.  Chunked, partitioned, and pool evaluation re-bind the same
-#: residual/key expressions against the same schema objects once per
-#: fragment; the cache makes the repeat binds O(1) instead of re-walking
-#: the tree.  Entries hold strong references to both objects, so a live
-#: key can never alias a recycled ``id()``; the OrderedDict is LRU-capped
-#: to keep long fuzzing sessions bounded.
+#: Evaluator memoization, keyed per (expression, schema) *object* pair
+#: and the builder that made the evaluator (:meth:`Expression._bind`'s
+#: closure chain, or :func:`repro.algebra.compile.compile_row`'s
+#: generated function).  Chunked, partitioned, and pool evaluation
+#: re-bind the same residual/key expressions against the same schema
+#: objects once per fragment, and repeated queries over one stored
+#: rollup re-run the same cached-translation predicates; the cache makes
+#: the repeats O(1) instead of re-walking or re-compiling the tree.
+#: Entries hold strong references to both objects, so a live key can
+#: never alias a recycled ``id()``; the OrderedDict is LRU-capped to
+#: keep long fuzzing sessions bounded.
 _BIND_CACHE_LIMIT = 512
-_bind_cache: OrderedDict[tuple[int, int], tuple["Expression", Schema,
-                                                Evaluator]] = OrderedDict()
+Builder = Callable[["Expression", Schema], Evaluator]
+_bind_cache: OrderedDict[tuple[int, int, Builder],
+                         tuple["Expression", Schema, Evaluator]] = OrderedDict()
 _bind_lock = threading.Lock()
 
 
@@ -62,8 +67,14 @@ def _bind_cache_count(name: str) -> None:
     get_registry().counter(name).inc()
 
 
-def _bind_memoized(expression: "Expression", schema: Schema) -> Evaluator:
-    key = (id(expression), id(schema))
+def _build_bound(expression: "Expression", schema: Schema) -> Evaluator:
+    return expression._bind(schema)
+
+
+def memoized_evaluator(expression: "Expression", schema: Schema,
+                       build: Builder = _build_bound) -> Evaluator:
+    """``build(expression, schema)``, memoized in the shared bind LRU."""
+    key = (id(expression), id(schema), build)
     with _bind_lock:
         entry = _bind_cache.get(key)
         if entry is not None:
@@ -72,7 +83,7 @@ def _bind_memoized(expression: "Expression", schema: Schema) -> Evaluator:
         _bind_cache_count("expr_bind_cache_hits")
         return entry[2]
     _bind_cache_count("expr_bind_cache_misses")
-    evaluator = expression._bind(schema)
+    evaluator = build(expression, schema)
     with _bind_lock:
         _bind_cache[key] = (expression, schema, evaluator)
         while len(_bind_cache) > _BIND_CACHE_LIMIT:
@@ -121,9 +132,9 @@ class Expression:
         """Compile into a closure evaluating rows of ``schema``.
 
         Memoized per (expression, schema) object pair — see
-        :func:`_bind_memoized`; node classes implement :meth:`_bind`.
+        :func:`memoized_evaluator`; node classes implement :meth:`_bind`.
         """
-        return _bind_memoized(self, schema)
+        return memoized_evaluator(self, schema)
 
     def _bind(self, schema: Schema) -> Evaluator:
         """Actually compile this node (implemented by subclasses)."""

@@ -23,6 +23,7 @@ from repro.algebra.analysis import (
     factor_condition,
     is_trivially_true,
 )
+from repro.algebra.compile import compile_row
 from repro.algebra.expressions import (
     Arithmetic,
     Column,
@@ -30,6 +31,7 @@ from repro.algebra.expressions import (
     Expression,
     Literal,
 )
+from repro.algebra.truth import Truth
 from repro.errors import ExpressionError, PlanError, SchemaError
 from repro.storage.catalog import Catalog
 from repro.storage.iostats import IOStats
@@ -85,14 +87,13 @@ class ScanTable(Operator):
         return schema.rename(qualifier)
 
     def evaluate(self, catalog: Catalog) -> Relation:
-        relation = catalog.table(self.table_name)
-        qualifier = self.alias or self.table_name
-        out = Relation(relation.schema.rename(qualifier), relation.rows,
-                       name=self.table_name, validate=False)
-        # Scan views share the stored relation's columnar-encoding cache:
-        # the typed columns are qualifier-independent, so every query
-        # over this table reuses one encoding until the table mutates.
-        out._columnar = relation._columnar
+        # A rename view shares the stored relation's columnar-encoding
+        # cache (the typed columns are qualifier-independent, so every
+        # query over this table reuses one encoding until the table
+        # mutates) and carries its null counts.
+        out = catalog.table(self.table_name).rename(
+            self.alias or self.table_name)
+        out.name = self.table_name
         return out
 
 
@@ -132,12 +133,12 @@ class Select(Operator):
         stats = IOStats.ambient()
         if is_trivially_true(self.predicate):
             return source
-        test = self.predicate.bind(source.schema)
-        rows = []
-        for row in source.scan():
-            stats.predicate_evals += 1
-            if test(row).is_true:
-                rows.append(row)
+        # The codegen'd drop-in for bind, memoized per (predicate,
+        # schema): a Select re-run over one stored rollup compiles once.
+        test = compile_row(self.predicate, source.schema)
+        true = Truth.TRUE
+        rows = [row for row in source.scan() if test(row) is true]
+        stats.predicate_evals += len(source.rows)
         stats.tuples_output += len(rows)
         return Relation(source.schema, rows, validate=False)
 

@@ -274,13 +274,18 @@ def _certified_runner(
     and installed as the ambient certificate for the evaluation, so
     downstream certificate-gated optimizations (the vectorized kernel's
     mask skip, in particular) can consult it without new plumbing
-    through every evaluation signature.
+    through every evaluation signature.  Certification reads stored
+    nullability from each table's maintained null counts, so it costs
+    O(columns), and is traced as a ``certify`` span.
     """
     from repro.lint.absint import capability_scope, certify_capabilities
+    from repro.obs.tracer import span
 
     def runner() -> Relation:
         plan = translate()
-        with capability_scope(certify_capabilities(plan, catalog)):
+        with span("certify", kind="certify"):
+            certificate = certify_capabilities(plan, catalog)
+        with capability_scope(certificate):
             return run(plan)
 
     return runner

@@ -134,6 +134,20 @@ def stored_nullability(rows: Sequence[Sequence[Any]],
     return verdicts
 
 
+def counted_nullability(null_counts: Sequence[int],
+                        total: int) -> list[Nullability]:
+    """The verdicts of :func:`stored_nullability` from per-column counts.
+
+    ``null_counts`` is :meth:`~repro.storage.relation.Relation.null_counts`
+    over ``total`` rows: no NULLs is NEVER (an empty relation vacuously
+    so), all NULL over non-empty rows is ALWAYS, anything else MAYBE.
+    """
+    return [
+        NEVER if nulls == 0 else ALWAYS if nulls == total else MAYBE
+        for nulls in null_counts
+    ]
+
+
 #: Alias for the runtime cross-check direction: what the rows actually
 #: show, computed with the same vocabulary the certificate speaks.
 observed_nullability = stored_nullability
@@ -581,14 +595,15 @@ class _NullabilityPass:
     def _env_ScanTable(self, node: ScanTable,
                        schema: Schema) -> list[Nullability] | None:
         try:
-            rows = self.catalog.table(node.table_name).rows
+            relation = self.catalog.table(node.table_name)
         except ReproError:
             return None
-        return stored_nullability(rows, len(schema.fields))
+        return counted_nullability(relation.null_counts(), len(relation))
 
     def _env_TableValue(self, node: TableValue,
                         schema: Schema) -> list[Nullability] | None:
-        return stored_nullability(node.relation.rows, len(schema.fields))
+        return counted_nullability(node.relation.null_counts(),
+                                   len(node.relation))
 
     # -- row-filtering / order-preserving operators: verdicts pass through ----
 
@@ -843,6 +858,7 @@ __all__ = [
     "classify_aggregate",
     "classify_condition",
     "classify_conjunct",
+    "counted_nullability",
     "current_capabilities",
     "decomposable_aggregates",
     "expression_nullability",

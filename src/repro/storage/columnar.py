@@ -90,9 +90,10 @@ class ColumnData:
         return self.valid is None
 
     def null_count(self) -> int:
+        """NULLs in this column, read off the validity mask."""
         if self.valid is None:
             return 0
-        return len(self.valid) - sum(self.valid)
+        return self.valid.count(0)
 
     def decode(self) -> list:
         """The column as a plain list with ``None`` for NULL.
@@ -306,14 +307,17 @@ class ColumnarRelation:
         Columns decode transiently, not into the :meth:`values` cache:
         the rows hold the values, and the numpy kernel never reads the
         decoded lists (the python batch kernel decodes lazily through
-        :meth:`values`).
+        :meth:`values`).  The relation's null counts are seeded from the
+        validity masks, so it never needs a row pass to certify.
         """
         decoded = [column.decode() for column in self.columns]
         if decoded:
             rows = list(zip(*decoded)) if self.length else []
         else:
             rows = [() for _ in range(self.length)]
-        return Relation(self.schema, rows, name=self.name, validate=False)
+        relation = Relation(self.schema, rows, name=self.name, validate=False)
+        relation._nulls = [column.null_count() for column in self.columns]
+        return relation
 
     def values(self, position: int) -> list:
         """Decoded value list of column ``position`` (cached)."""

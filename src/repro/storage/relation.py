@@ -14,6 +14,7 @@ pretty-printing).
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError
@@ -24,10 +25,20 @@ from repro.storage.types import DataType
 Row = tuple
 
 
+def count_nulls(rows: Sequence[Row], arity: int) -> list[int]:
+    """Per-column NULL counts of ``rows``: the one full row pass.
+
+    :meth:`Relation.null_counts` calls this at most once per relation;
+    afterwards ``insert``/``extend`` keep the counts current.
+    """
+    return [list(map(itemgetter(position), rows)).count(None)
+            for position in range(arity)]
+
+
 class Relation:
     """A typed, ordered multiset of tuples."""
 
-    __slots__ = ("schema", "rows", "name", "_columnar")
+    __slots__ = ("schema", "rows", "name", "_columnar", "_nulls")
 
     def __init__(
         self,
@@ -46,6 +57,12 @@ class Relation:
         # keyed by NEVER-null position set.  Scan views share this dict so
         # repeated vectorized queries hit one encoding; mutations clear it.
         self._columnar: dict = {}
+        # Per-column NULL counts (see null_counts): None until first
+        # asked for, then kept current by insert/extend.  Like the
+        # columnar cache, this is storage metadata that is only exact
+        # while rows change through insert/extend, never by mutating
+        # ``rows`` directly.
+        self._nulls: list[int] | None = None
 
     def __getstate__(self) -> tuple:
         # Worker-pool pickling: ship data, not the encoding cache.
@@ -54,6 +71,7 @@ class Relation:
     def __setstate__(self, state: tuple) -> None:
         self.schema, self.rows, self.name = state
         self._columnar = {}
+        self._nulls = None
 
     def _check_row(self, row: Sequence[Any]) -> Row:
         if len(row) != len(self.schema):
@@ -87,12 +105,20 @@ class Relation:
         original (the cache layers rely on this both when storing and
         when serving).
         """
-        return Relation(self.schema, self.rows, name=self.name, validate=False)
+        out = Relation(self.schema, self.rows, name=self.name, validate=False)
+        out._nulls = self._copied_nulls()
+        return out
 
     def insert(self, row: Sequence[Any]) -> None:
-        self.rows.append(self._check_row(row))
+        checked = self._check_row(row)
+        self.rows.append(checked)
         if self._columnar:
             self._columnar.clear()
+        nulls = self._nulls
+        if nulls is not None and None in checked:
+            for position, value in enumerate(checked):
+                if value is None:
+                    nulls[position] += 1
 
     def extend(self, rows: Iterable[Sequence[Any]]) -> None:
         for row in rows:
@@ -112,6 +138,22 @@ class Relation:
 
     def arity(self) -> int:
         return len(self.schema)
+
+    def null_counts(self) -> tuple[int, ...]:
+        """NULLs per column, in schema order.
+
+        Computed by one row pass the first time it is asked for, then
+        maintained incrementally by :meth:`insert`/:meth:`extend` and
+        carried by :meth:`copy`/:meth:`rename`, so capability
+        certification reads stored nullability in O(columns).
+        """
+        nulls = self._nulls
+        if nulls is None:
+            nulls = self._nulls = count_nulls(self.rows, len(self.schema))
+        return tuple(nulls)
+
+    def _copied_nulls(self) -> list[int] | None:
+        return None if self._nulls is None else list(self._nulls)
 
     # -- accounted access ----------------------------------------------------
 
@@ -144,6 +186,7 @@ class Relation:
         out = Relation(self.schema.rename(qualifier), self.rows, name=self.name,
                        validate=False)
         out._columnar = self._columnar  # views share the encoding cache
+        out._nulls = self._copied_nulls()
         return out
 
     def distinct(self) -> "Relation":
